@@ -167,8 +167,12 @@ def _bench_family(
         unit="s",
         direction="lower",
     )
-    # Fresh trace sets per repeat: trace compilation and the baseline /
-    # analysis caches start cold, so their cost is part of the number.
+    # Fresh trace sets per repeat: trace compilation and the per-trace-set
+    # baseline cache start cold, so their cost is part of every sample.
+    # The analysis caches do not: ``_annotation_deltas`` is cached on the
+    # memoised annotated kernels and ``kernel_analyses`` by kernel
+    # fingerprint, so only the first repeat pays them; later repeats
+    # are warm.
     compiled_samples, compiled_metric = measure(
         lambda i: _time_pass(
             _build_suite(scale), schemes, memo, use_compiled=True

@@ -29,10 +29,10 @@ from ..energy.accounting import compute_energy
 from ..energy.model import EnergyModel
 from ..hierarchy.counters import AccessCounters
 from ..levels import Level
-from ..sim.accounting import (
-    BaselineAccounting,
-    SoftwareAccounting,
-    account_trace,
+from ..sim.compiled import (
+    baseline_counters,
+    compile_traces,
+    software_counters,
 )
 from ..sim.runner import allocate_for_traces
 from ..sim.schemes import BEST_SCHEME, Scheme, SchemeKind
@@ -128,10 +128,9 @@ def _sw_energy(
             allocation = allocate_for_traces(
                 spec.kernel, config, model=accounting_model, memo=memo
             )
-            for trace in traces.warp_traces:
-                driver = SoftwareAccounting(total, allocation.kernel)
-                account_trace(driver, trace)
-                account_trace(BaselineAccounting(baseline), trace)
+            compiled = compile_traces(traces)
+            total.merge(software_counters(compiled, allocation.kernel))
+            baseline.merge(baseline_counters(compiled))
         return _normalized(total, baseline, accounting_model)
 
     if engine is None:

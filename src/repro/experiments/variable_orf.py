@@ -28,7 +28,7 @@ across warps (the paper's oracle makes the same assumption).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alloc.allocator import AllocationConfig
@@ -36,15 +36,22 @@ from ..energy.accounting import compute_energy
 from ..energy.model import EnergyModel
 from ..hierarchy.counters import AccessCounters
 from ..ir.kernel import Kernel
-from ..sim.accounting import (
-    BaselineAccounting,
-    SoftwareAccounting,
-)
+from ..levels import Level
+from ..sim.compiled import _annotation_deltas, compile_traces, operand_table
 from ..sim.executor import TraceEvent
 from ..sim.runner import TraceSet, allocate_for_traces
 from .suite_data import SuiteData
 
 SIZES = tuple(range(1, 9))
+
+#: One strand execution's dynamic (position, guard outcome) sequence.
+#: Both stateless drivers charge an event by these two facts alone, so
+#: executions with equal signatures have equal counters at every size.
+Signature = Tuple[Tuple[int, int], ...]
+
+#: Per-position counter deltas (see ``repro.sim.compiled``): applied on
+#: every issue, and only when the guard passed.
+_Deltas = Tuple[List[List[Tuple]], List[List[Tuple]]]
 
 
 @dataclass
@@ -55,9 +62,22 @@ class StrandExecution:
     strand_key: Tuple[str, int]
     #: Access counters per compiled ORF size (0 = all-MRF fallback).
     counters_by_size: Dict[int, AccessCounters]
+    #: (size, model) -> total pJ.  Executions with the same signature
+    #: share one table (and one ``counters_by_size``), so each
+    #: (signature, size) is charged once per study call.
+    _energies: Dict[Tuple[int, EnergyModel], float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def energy(self, size: int, model: EnergyModel) -> float:
-        return compute_energy(self.counters_by_size[size], model).total_pj
+        key = (size, model)
+        energy = self._energies.get(key)
+        if energy is None:
+            energy = compute_energy(
+                self.counters_by_size[size], model
+            ).total_pj
+            self._energies[key] = energy
+        return energy
 
 
 @dataclass
@@ -71,46 +91,80 @@ class VariableOrfResult:
     starved_fraction: float
 
 
-def _split_executions(
-    trace: Sequence[TraceEvent], strand_of_position: Dict[int, int]
-) -> List[List[TraceEvent]]:
-    """Split a warp trace at strand boundaries (strand change or
-    position non-increase within the same strand)."""
-    executions: List[List[TraceEvent]] = []
-    current: List[TraceEvent] = []
+def _execution_bounds(
+    positions: Sequence[int], strand_of_position: Dict[int, int]
+) -> List[Tuple[int, int]]:
+    """[start, end) slices of a warp trace's strand executions: a new
+    execution starts at a strand change or a position non-increase
+    within the same strand."""
+    bounds: List[Tuple[int, int]] = []
+    start = 0
     prev_strand: Optional[int] = None
     prev_position: Optional[int] = None
-    for event in trace:
-        position = event.ref.position
+    for index, position in enumerate(positions):
         strand = strand_of_position.get(position)
         boundary = strand != prev_strand or (
             prev_position is not None and position <= prev_position
         )
-        if boundary and current:
-            executions.append(current)
-            current = []
-        current.append(event)
+        if boundary and index > start:
+            bounds.append((start, index))
+            start = index
         prev_strand = strand
         prev_position = position
-    if current:
-        executions.append(current)
-    return executions
+    if len(positions) > start:
+        bounds.append((start, len(positions)))
+    return bounds
+
+
+def _split_executions(
+    trace: Sequence[TraceEvent], strand_of_position: Dict[int, int]
+) -> List[List[TraceEvent]]:
+    """Split a warp trace at strand boundaries (see
+    :func:`_execution_bounds`)."""
+    positions = [event.ref.position for event in trace]
+    return [
+        list(trace[start:end])
+        for start, end in _execution_bounds(positions, strand_of_position)
+    ]
+
+
+def _baseline_deltas(kernel: Kernel) -> _Deltas:
+    """Single-level per-position deltas (every access hits the MRF)."""
+    table = operand_table(kernel)
+    read_deltas: List[List[Tuple]] = []
+    write_deltas: List[List[Tuple]] = []
+    for shared, read_words, write_words in zip(
+        table.shared, table.read_words_total, table.write_words
+    ):
+        read_deltas.append(
+            [((Level.MRF, True, shared), read_words)] if read_words else []
+        )
+        write_deltas.append(
+            [((Level.MRF, False, shared), write_words)]
+            if write_words
+            else []
+        )
+    return read_deltas, write_deltas
 
 
 def _account_events(
-    events: Sequence[TraceEvent],
-    software: bool,
-    annotation_kernel: Optional[Kernel] = None,
+    signature: Signature, deltas: _Deltas
 ) -> AccessCounters:
+    """Counters of one strand execution, built from per-position deltas.
+
+    Deltas are added in event order, so key insertion order — and with
+    it every :func:`compute_energy` float — matches the scalar
+    ``SoftwareAccounting``/``BaselineAccounting`` replay exactly.
+    """
+    read_deltas, write_deltas = deltas
     counters = AccessCounters()
-    driver = (
-        SoftwareAccounting(counters, annotation_kernel)
-        if software
-        else BaselineAccounting(counters)
-    )
-    for event in events:
-        driver.process(event)
-    driver.finish()
+    counts = counters.counts
+    for position, guard in signature:
+        for key, words in read_deltas[position]:
+            counts[key] = counts.get(key, 0) + words
+        if guard:
+            for key, words in write_deltas[position]:
+                counts[key] = counts.get(key, 0) + words
     return counters
 
 
@@ -122,38 +176,46 @@ def collect_strand_executions(
     plus the single-level baseline counters for normalisation.
 
     Warps are numbered across workloads (each simulated warp is an
-    independent resident warp competing for the pool).
+    independent resident warp competing for the pool).  Each unique
+    warp trace is split once; counters are built once per unique
+    execution signature and ORF size, and executions sharing a
+    signature share them.
     """
     per_warp: List[List[StrandExecution]] = []
     baseline = AccessCounters()
     memo: Dict = {}
 
-    # Pass 0: split every warp's trace into executions; account the
-    # all-MRF fallback and the baseline.
-    raw: List[Tuple[object, TraceSet, List[List[List[TraceEvent]]]]] = []
     for spec, traces in items:
-        result = allocate_for_traces(spec.kernel, base_config, memo=memo)
-        strand_map = result.partition.strand_of_position
-        warp_splits = [
-            _split_executions(trace, strand_map)
-            for trace in traces.warp_traces
-        ]
-        raw.append((spec, traces, warp_splits))
-        for trace in traces.warp_traces:
-            baseline.merge(_account_events(trace, software=False))
+        strand_map = allocate_for_traces(
+            spec.kernel, base_config, memo=memo
+        ).partition.strand_of_position
+        compiled = compile_traces(traces)
 
-    # Per size: reallocate and account each execution.
-    counters_store: Dict[
-        Tuple[int, int, int], Dict[int, AccessCounters]
-    ] = {}
-    for workload_index, (spec, traces, warp_splits) in enumerate(raw):
-        for warp_index, executions in enumerate(warp_splits):
-            for exec_index, events in enumerate(executions):
-                counters_store[
-                    (workload_index, warp_index, exec_index)
-                ] = {0: _account_events(events, software=False)}
-    for size in SIZES:
-        for workload_index, (spec, traces, warp_splits) in enumerate(raw):
+        # Split each unique trace once; dedup executions by signature.
+        index_of: Dict[Signature, int] = {}
+        signatures: List[Signature] = []
+        unique_splits: List[List[int]] = []
+        for unique in compiled.unique:
+            steps = list(zip(unique.positions, unique.guards))
+            split: List[int] = []
+            for start, end in _execution_bounds(
+                unique.positions, strand_map
+            ):
+                signature = tuple(steps[start:end])
+                index = index_of.get(signature)
+                if index is None:
+                    index = len(signatures)
+                    index_of[signature] = index
+                    signatures.append(signature)
+                split.append(index)
+            unique_splits.append(split)
+
+        base_deltas = _baseline_deltas(spec.kernel)
+        by_size: List[Dict[int, AccessCounters]] = [
+            {0: _account_events(signature, base_deltas)}
+            for signature in signatures
+        ]
+        for size in SIZES:
             config = AllocationConfig(
                 orf_entries=size,
                 use_lrf=base_config.use_lrf,
@@ -163,35 +225,28 @@ def collect_strand_executions(
                 allow_forward_branches=base_config.allow_forward_branches,
             )
             allocation = allocate_for_traces(spec.kernel, config, memo=memo)
-            for warp_index, executions in enumerate(warp_splits):
-                for exec_index, events in enumerate(executions):
-                    counters_store[
-                        (workload_index, warp_index, exec_index)
-                    ][size] = _account_events(
-                        events, software=True,
-                        annotation_kernel=allocation.kernel,
-                    )
+            deltas = _annotation_deltas(allocation.kernel)
+            for signature, counters_by_size in zip(signatures, by_size):
+                counters_by_size[size] = _account_events(signature, deltas)
 
-    warp_counter = 0
-    for workload_index, (spec, traces, warp_splits) in enumerate(raw):
-        strand_map = allocate_for_traces(
-            spec.kernel, base_config, memo=memo
-        ).partition.strand_of_position
-        for warp_index, executions in enumerate(warp_splits):
+        energies: List[Dict] = [{} for _ in signatures]
+        strands = [
+            strand_map.get(signature[0][0], -1) for signature in signatures
+        ]
+        for unique_index in compiled.warp_to_unique:
+            warp = len(per_warp)
             sequence: List[StrandExecution] = []
-            for exec_index, events in enumerate(executions):
-                strand = strand_map.get(events[0].ref.position, -1)
+            for index in unique_splits[unique_index]:
+                baseline.merge(by_size[index][0])
                 sequence.append(
                     StrandExecution(
-                        warp=warp_counter,
-                        strand_key=(spec.name, strand),
-                        counters_by_size=counters_store[
-                            (workload_index, warp_index, exec_index)
-                        ],
+                        warp=warp,
+                        strand_key=(spec.name, strands[index]),
+                        counters_by_size=by_size[index],
+                        _energies=energies[index],
                     )
                 )
             per_warp.append(sequence)
-            warp_counter += 1
     return per_warp, baseline
 
 

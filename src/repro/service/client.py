@@ -367,13 +367,19 @@ class AsyncServiceClient:
         status_line = await self._reader.readline()
         if not status_line:
             raise ConnectionError("server closed connection")
-        parts = status_line.decode("latin-1").split(" ", 2)
-        status = int(parts[1])
+        try:
+            status = int(status_line.decode("latin-1").split(" ", 2)[1])
+        except (IndexError, ValueError):
+            raise ConnectionError(
+                f"malformed status line {status_line!r}"
+            ) from None
         headers: Dict[str, str] = {}
         while True:
             line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
+            if line in (b"\r\n", b"\n"):
                 break
+            if not line:
+                raise ConnectionError("server closed mid-headers")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0"))

@@ -38,11 +38,20 @@ result by the trace's multiplicity.  Counters accumulate in dense slot
 vectors (:data:`repro.hierarchy.counters.COUNTER_SLOTS`) and are
 rehydrated at the end.
 
-The scalar drivers in :mod:`repro.sim.accounting` remain the oracle:
+The Section 7 studies reuse the stateless per-position deltas
+(:func:`operand_table`, :func:`_annotation_deltas`) at strand-execution
+granularity: :mod:`repro.experiments.variable_orf` builds counters
+once per unique (position, guard) execution signature, adding deltas
+in event order, and the limit study sums :func:`software_counters` /
+:func:`baseline_counters` per trace set.
+
+The scalar drivers in :mod:`repro.sim.accounting` remain the oracle
+and are no longer on any production path except the
+``REPRO_COMPILED=0`` fallback of ``evaluate_traces``:
 ``tests/sim/test_compiled.py`` proves the compiled path produces
 identical :class:`AccessCounters` for every scheme kind over the full
-workload suite, and ``REPRO_COMPILED=0`` disables the compiled path
-entirely at run time.
+workload suite, and ``tests/experiments/test_study_equivalence.py``
+proves the studies equal a scalar replay exactly.
 """
 
 from __future__ import annotations
