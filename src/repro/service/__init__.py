@@ -12,8 +12,10 @@ The package layers, bottom up:
 * :mod:`repro.service.batcher` — micro-batching dispatcher with
   in-flight deduplication, bounded admission (backpressure), and
   per-request timeouts;
-* :mod:`repro.service.httpd` — a hand-rolled HTTP/1.1 server on
-  asyncio streams (stdlib only, no ``http.server``);
+* :mod:`repro.service.httpd` — hand-rolled HTTP/1.1 on asyncio
+  streams (stdlib only, no ``http.server``): the server, the one
+  keep-alive client exchange, and the front-door lifecycle the server
+  and the cluster coordinator share;
 * :mod:`repro.service.server` — the service itself: routing, result
   memo + :class:`repro.engine.cache.DiskCache` reuse, metrics,
   graceful drain;

@@ -4,9 +4,12 @@ Two clients share one request surface:
 
 * :class:`ServiceClient` — synchronous, one ``http.client`` connection
   per call; the convenient choice for scripts and tests.
-* :class:`AsyncServiceClient` — a persistent keep-alive connection on
-  asyncio streams; what :mod:`repro.service.loadgen` drives hundreds
-  of concurrent requests through.
+* :class:`AsyncServiceClient` — JSON over one persistent keep-alive
+  :class:`~repro.service.httpd.HttpConnection` (the exchange the
+  cluster's shard pools share; a malformed response, ``Content-Length``
+  included, is a ``ConnectionError``); what
+  :mod:`repro.service.loadgen` drives hundreds of concurrent requests
+  through.
 
 Both return decoded JSON payloads.  Non-2xx responses raise
 :class:`ServiceError` carrying the HTTP status, the server's error
@@ -33,6 +36,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..sim.schemes import Scheme
+from .httpd import HttpConnection
 from .protocol import scheme_to_json
 
 #: Statuses worth retrying: shed load and not-yet/no-longer-available.
@@ -282,7 +286,7 @@ def wait_until_healthy(
 
 
 class AsyncServiceClient:
-    """Persistent keep-alive connection on raw asyncio streams."""
+    """JSON over one persistent keep-alive :class:`HttpConnection`."""
 
     def __init__(
         self,
@@ -302,29 +306,17 @@ class AsyncServiceClient:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self._rng = random.Random(backoff_seed)
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._connection = HttpConnection(host, port)
 
     async def connect(self) -> None:
-        """Open the keep-alive connection eagerly (loadgen pre-warms
-        its connections so connect latency never lands inside a
-        measured phase)."""
-        await self._connect()
-
-    async def _connect(self) -> None:
-        if self._writer is None or self._writer.is_closing():
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
+        """Open the keep-alive connection unless it is open already
+        (loadgen pre-warms its connections so connect latency never
+        lands inside a measured phase)."""
+        if self._connection.closed:
+            await self._connection.open()
 
     async def close(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
+        self._connection.close()
 
     async def request_raw(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
@@ -335,62 +327,21 @@ class AsyncServiceClient:
             json.dumps(body).encode("utf-8") if body is not None else b""
         )
         for attempt in (0, 1):
-            await self._connect()
+            await self.connect()
             try:
-                return await asyncio.wait_for(
-                    self._exchange(method, path, payload), self.timeout
+                status, _, data = await asyncio.wait_for(
+                    self._connection.request(method, path, payload),
+                    self.timeout,
                 )
-            except (
-                ConnectionError,
-                asyncio.IncompleteReadError,
-                OSError,
-            ):
-                await self.close()
+            except OSError:
                 if attempt:
                     raise
+                continue
+            try:
+                return status, json.loads(data.decode("utf-8"))
+            except ValueError:
+                return status, {"raw": data.decode("utf-8", "replace")}
         raise RuntimeError("unreachable")
-
-    async def _exchange(
-        self, method: str, path: str, payload: bytes
-    ) -> Tuple[int, Any]:
-        assert self._reader is not None and self._writer is not None
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        self._writer.write(head + payload)
-        await self._writer.drain()
-
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed connection")
-        try:
-            status = int(status_line.decode("latin-1").split(" ", 2)[1])
-        except (IndexError, ValueError):
-            raise ConnectionError(
-                f"malformed status line {status_line!r}"
-            ) from None
-        headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise ConnectionError("server closed mid-headers")
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = await self._reader.readexactly(length) if length else b""
-        if headers.get("connection", "").lower() == "close":
-            await self.close()
-        try:
-            decoded = json.loads(body.decode("utf-8"))
-        except ValueError:
-            decoded = {"raw": body.decode("utf-8", "replace")}
-        return status, decoded
 
     async def request_with_retries(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
@@ -436,33 +387,11 @@ class AsyncServiceClient:
     async def call(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Any:
-        attempt = 0
-        while True:
-            retry_after: Optional[float] = None
-            try:
-                status, payload = await self.request_raw(
-                    method, path, body
-                )
-            except OSError:
-                if attempt >= self.retries:
-                    raise
-            else:
-                if status < 400:
-                    return payload
-                error = _error_from_payload(status, payload)
-                if (
-                    attempt >= self.retries
-                    or status not in RETRYABLE_STATUSES
-                ):
-                    raise error
-                retry_after = error.retry_after
-            await asyncio.sleep(
-                backoff_delay(
-                    attempt,
-                    retry_after,
-                    base_s=self.backoff_base_s,
-                    cap_s=self.backoff_cap_s,
-                    rng=self._rng,
-                )
-            )
-            attempt += 1
+        """:meth:`request_with_retries`, raising :class:`ServiceError`
+        on a final status >= 400."""
+        status, payload, _ = await self.request_with_retries(
+            method, path, body
+        )
+        if status >= 400:
+            raise _error_from_payload(status, payload)
+        return payload

@@ -39,9 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-import signal
 import sys
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -62,8 +60,9 @@ from ...obs.tracer import (
     carrier_from_header,
     carrier_to_header,
 )
-from ..httpd import AsyncHttpServer, HttpRequest, HttpResponse, json_response
+from ..httpd import HttpFrontDoor, HttpRequest, HttpResponse, json_response
 from ..protocol import (
+    BadRequest,
     Draining,
     Overloaded,
     RequestTimeout,
@@ -71,7 +70,7 @@ from ..protocol import (
     normalize_request,
 )
 from .ring import ConsistentHashRing
-from .transport import ShardPool, _RETRYABLE
+from .transport import ShardPool
 
 import hashlib
 
@@ -151,19 +150,20 @@ class _Route:
     """Cached normalisation of one distinct request body."""
 
     fingerprint: Optional[str] = None
-    fault: Optional[Tuple[int, str, str, Optional[float]]] = None
+    fault: Optional[ServiceFault] = None
     #: Total sightings of this body (front-cache eligibility).
     seen: int = 0
     #: Sliding-window hot tracking: [window_start, window_count].
     window: List[float] = field(default_factory=lambda: [0.0, 0])
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(HttpFrontDoor):
     """One coordinator instance; usable from a thread (tests) or CLI."""
 
     def __init__(
         self, config: ClusterConfig, metrics: Optional[RunMetrics] = None
     ) -> None:
+        super().__init__()
         if not config.shards:
             raise ValueError("cluster needs at least one shard address")
         self.config = config
@@ -191,65 +191,22 @@ class ClusterCoordinator:
         self._hot_until: Dict[str, float] = {}
         self._hot_rr: Dict[str, int] = {}
         self._pending = 0
-        self.draining = False
-        self._http: Optional[AsyncHttpServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[asyncio.Event] = None
         self._probe_task: Optional[asyncio.Task] = None
-        self.started = threading.Event()
-        self.port: Optional[int] = None
-        self._startup_error: Optional[BaseException] = None
-        self._started_monotonic = time.monotonic()
         self.metrics.histogram("cluster_request_seconds")
 
     # -- lifecycle ---------------------------------------------------------
 
-    def run_forever(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:
-            self._startup_error = error
-            self.started.set()
-            raise
-
-    def request_shutdown(self) -> None:
-        loop, event = self._loop, self._shutdown
-        if loop is not None and event is not None:
-            loop.call_soon_threadsafe(event.set)
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
-        self._http = AsyncHttpServer(
-            self.handle,
-            self.config.host,
-            self.config.port,
-            max_body_bytes=self.config.max_body_bytes,
-        )
-        await self._http.start()
-        self.port = self._http.port
-        self._install_signal_handlers()
+    async def _start(self) -> None:
+        await self._listen()
         self._probe_task = self._loop.create_task(self._probe_loop())
-        self.started.set()
-        if self.config.announce:
-            print(
-                f"repro cluster coordinator on "
-                f"http://{self.config.host}:{self.port} "
-                f"({len(self.shards)} shards, "
-                f"replication={self.config.replication})",
-                file=sys.stderr,
-                flush=True,
-            )
-        await self._shutdown.wait()
-        await self._drain()
 
-    def _install_signal_handlers(self) -> None:
-        assert self._loop is not None and self._shutdown is not None
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                self._loop.add_signal_handler(signum, self._shutdown.set)
-            except (NotImplementedError, RuntimeError, ValueError):
-                return
+    def _announcement(self) -> str:
+        return (
+            f"repro cluster coordinator on "
+            f"http://{self.config.host}:{self.port} "
+            f"({len(self.shards)} shards, "
+            f"replication={self.config.replication})"
+        )
 
     async def _drain(self) -> None:
         self.draining = True
@@ -291,7 +248,7 @@ class ClusterCoordinator:
             if status != 200:
                 raise ConnectionError(f"healthz HTTP {status}")
             payload = json.loads(body.decode("utf-8"))
-        except (asyncio.TimeoutError, ValueError, *_RETRYABLE) as error:
+        except (asyncio.TimeoutError, ValueError, OSError) as error:
             self._mark_failure(shard, f"{type(error).__name__}: {error}")
             return
         shard.last_healthz = payload
@@ -384,16 +341,7 @@ class ClusterCoordinator:
             raise Draining("coordinator is draining; no new work accepted")
         route = self._resolve_route(op, request.body)
         if route.fault is not None:
-            status, error_type, message, retry_after = route.fault
-            self.metrics.count(f"http_{status}")
-            payload: Dict[str, Any] = {
-                "error": {"type": error_type, "message": message}
-            }
-            headers: Dict[str, str] = {}
-            if retry_after is not None:
-                payload["error"]["retry_after"] = retry_after
-                headers["Retry-After"] = f"{retry_after:g}"
-            return json_response(status, payload, headers)
+            return self._fault_response(route.fault)
         fingerprint = route.fingerprint
         assert fingerprint is not None
         hot = self._note_request(route, fingerprint)
@@ -477,7 +425,7 @@ class ClusterCoordinator:
                     "computation continues and a retry may hit the "
                     "owning shard's cache"
                 ) from None
-            except _RETRYABLE as error:
+            except OSError as error:
                 shard.errors += 1
                 self.metrics.count("cluster_shard_errors")
                 self._mark_failure(
@@ -562,19 +510,14 @@ class ClusterCoordinator:
         try:
             decoded = json.loads(body.decode("utf-8"))
         except ValueError as error:
-            route.fault = (
-                400, "bad_request", f"invalid JSON body: {error}", None
-            )
+            route.fault = BadRequest(f"invalid JSON body: {error}")
         else:
             try:
                 route.fingerprint = normalize_request(op, decoded).fingerprint
             except ServiceFault as fault:
-                route.fault = (
-                    fault.status,
-                    fault.error_type,
-                    str(fault),
-                    fault.retry_after,
-                )
+                # A fresh copy: the cached fault must not pin the
+                # normalisation frames (traceback, cause) in the cache.
+                route.fault = type(fault)(str(fault), fault.retry_after)
         self._routes[key] = route
         while len(self._routes) > self.config.route_cache_entries:
             self._routes.popitem(last=False)
@@ -622,13 +565,6 @@ class ClusterCoordinator:
         return pool
 
     # -- introspection -----------------------------------------------------
-
-    def _wants_prometheus(self, request: HttpRequest) -> bool:
-        target = request.target
-        if "?" in target:
-            if "format=prometheus" in target.split("?", 1)[1].split("&"):
-                return True
-        return "text/plain" in request.headers.get("accept", "")
 
     def _health_payload(self) -> Dict[str, Any]:
         healthy = sum(1 for s in self.shards.values() if s.healthy)
@@ -689,7 +625,7 @@ class ClusterCoordinator:
                         name: counters.get(name, 0)
                         for name in SHARD_DEDUP_COUNTERS
                     }
-            except (asyncio.TimeoutError, ValueError, *_RETRYABLE) as error:
+            except (asyncio.TimeoutError, ValueError, OSError) as error:
                 self._mark_failure(
                     shard, f"{type(error).__name__}: {error}"
                 )
@@ -744,7 +680,7 @@ class ClusterCoordinator:
                 if status == 200:
                     return shard, json.loads(body.decode("utf-8"))
                 self._mark_failure(shard, f"metrics HTTP {status}")
-            except (asyncio.TimeoutError, ValueError, *_RETRYABLE) as error:
+            except (asyncio.TimeoutError, ValueError, OSError) as error:
                 self._mark_failure(
                     shard, f"{type(error).__name__}: {error}"
                 )
@@ -862,21 +798,6 @@ class ClusterCoordinator:
                 merge_labels(name, shard="cluster")
             ] = data
         return render_prometheus(combined)
-
-    def _fault_response(self, fault: ServiceFault) -> HttpResponse:
-        self.metrics.count(f"http_{fault.status}")
-        headers = {}
-        if fault.retry_after is not None:
-            headers["Retry-After"] = f"{fault.retry_after:g}"
-        return json_response(fault.status, fault.to_payload(), headers)
-
-    def _error_response(
-        self, status: int, error_type: str, message: str
-    ) -> HttpResponse:
-        self.metrics.count(f"http_{status}")
-        return json_response(
-            status, {"error": {"type": error_type, "message": message}}
-        )
 
 
 def coordinate_forever(

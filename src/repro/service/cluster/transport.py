@@ -2,11 +2,15 @@
 
 The coordinator forwards request bodies *verbatim* and returns shard
 response bodies *verbatim* — no JSON decode/encode on the hot path —
-so the transport works in raw bytes: :class:`ShardConnection` is a
-minimal HTTP/1.1 client on asyncio streams (``Content-Length`` framing
-only, mirroring :mod:`repro.service.httpd`), and :class:`ShardPool`
-keeps a bounded set of those connections per shard, reusing them
-across requests.
+so the transport works in raw bytes: :class:`ShardPool` keeps a
+bounded set of keep-alive
+:class:`~repro.service.httpd.HttpConnection` objects per shard (the
+exchange the async service client uses too) and reuses them across
+requests.  Every transport failure and every
+malformed shard response — bad status line, EOF mid-headers, a
+non-numeric or negative ``Content-Length``, a short body — surfaces
+as ``ConnectionError`` with the connection closed, so the coordinator
+fails over instead of answering an opaque 500.
 
 A keep-alive connection can go stale between requests (the shard
 restarted or closed it idle).  The pool distinguishes a *reused*
@@ -22,102 +26,9 @@ import asyncio
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
-#: Matches the server's stream read limit.
-_READ_LIMIT = 64 * 1024
+from ..httpd import HttpConnection
 
 ShardResponse = Tuple[int, Dict[str, str], bytes]
-
-_RETRYABLE = (
-    ConnectionError,
-    asyncio.IncompleteReadError,
-    BrokenPipeError,
-    OSError,
-)
-
-
-class ShardConnection:
-    """One keep-alive HTTP/1.1 connection to a shard."""
-
-    __slots__ = ("host", "port", "_reader", "_writer")
-
-    def __init__(self, host: str, port: int) -> None:
-        self.host = host
-        self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    async def open(self, timeout: float) -> None:
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(
-                self.host, self.port, limit=_READ_LIMIT
-            ),
-            timeout,
-        )
-
-    @property
-    def closed(self) -> bool:
-        return self._writer is None or self._writer.is_closing()
-
-    def close(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:
-                pass
-        self._reader = self._writer = None
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        body: bytes = b"",
-        headers: Optional[Dict[str, str]] = None,
-    ) -> ShardResponse:
-        """One exchange; raises ``ConnectionError``/``OSError`` family
-        on transport failure (the pool maps those to retries).
-
-        ``headers`` adds extra request headers (e.g. the trace-context
-        carrier); names/values must be latin-1-encodable.
-        """
-        assert self._reader is not None and self._writer is not None
-        extra = "".join(
-            f"{name}: {value}\r\n"
-            for name, value in (headers or {}).items()
-        )
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
-            "\r\n"
-        ).encode("latin-1")
-        self._writer.write(head + body)
-        await self._writer.drain()
-
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("shard closed connection")
-        try:
-            status = int(status_line.decode("latin-1").split(" ", 2)[1])
-        except (IndexError, ValueError):
-            raise ConnectionError(
-                f"malformed status line {status_line!r}"
-            ) from None
-        response_headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if not line:
-                raise ConnectionError("shard closed mid-headers")
-            name, _, value = line.decode("latin-1").partition(":")
-            response_headers[name.strip().lower()] = value.strip()
-        length = int(response_headers.get("content-length", "0"))
-        payload = await self._reader.readexactly(length) if length else b""
-        if response_headers.get("connection", "").lower() == "close":
-            self.close()
-        return status, response_headers, payload
 
 
 class ShardPool:
@@ -137,20 +48,20 @@ class ShardPool:
         self.port = port
         self.connect_timeout_s = connect_timeout_s
         self._capacity = asyncio.Semaphore(max_connections)
-        self._idle: Deque[ShardConnection] = deque()
+        self._idle: Deque[HttpConnection] = deque()
         self.connections_opened = 0
 
     @property
     def idle_connections(self) -> int:
         return len(self._idle)
 
-    async def _fresh(self) -> ShardConnection:
-        connection = ShardConnection(self.host, self.port)
+    async def _fresh(self) -> HttpConnection:
+        connection = HttpConnection(self.host, self.port)
         await connection.open(self.connect_timeout_s)
         self.connections_opened += 1
         return connection
 
-    def _checkout_idle(self) -> Optional[ShardConnection]:
+    def _checkout_idle(self) -> Optional[HttpConnection]:
         while self._idle:
             connection = self._idle.popleft()
             if not connection.closed:
@@ -167,39 +78,38 @@ class ShardPool:
     ) -> ShardResponse:
         """One exchange on a pooled connection.
 
-        ``timeout`` bounds the whole exchange (the connection is torn
-        down on expiry so a half-read response never poisons the
-        pool).  Transport errors on a reused connection retry once on
-        a fresh one; fresh-connection errors propagate.  ``headers``
-        pass through to :meth:`ShardConnection.request`.
+        ``timeout`` bounds the whole exchange.  Any exception, timeout
+        and cancellation included, closes the connection instead of
+        returning it, so a half-read response never poisons the pool.
+        Transport errors (``OSError``, which covers every malformed
+        response) on a reused connection retry once on a fresh one;
+        fresh-connection errors and timeouts propagate.  ``headers`` pass through to
+        :meth:`HttpConnection.request`.
         """
         async with self._capacity:
             connection = self._checkout_idle()
             reused = connection is not None
-            if connection is None:
-                connection = await self._fresh()
             try:
-                response = await asyncio.wait_for(
-                    connection.request(method, path, body, headers),
-                    timeout,
-                )
-            except asyncio.TimeoutError:
-                connection.close()
-                raise
-            except _RETRYABLE:
-                connection.close()
-                if not reused:
-                    raise
-                # Stale keep-alive: one silent retry on a fresh socket.
-                connection = await self._fresh()
+                if connection is None:
+                    connection = await self._fresh()
                 try:
                     response = await asyncio.wait_for(
                         connection.request(method, path, body, headers),
                         timeout,
                     )
-                except BaseException:
+                except OSError as error:
+                    if not reused or isinstance(error, asyncio.TimeoutError):
+                        raise
+                    # Stale keep-alive: one silent retry on a fresh socket.
+                    connection = await self._fresh()
+                    response = await asyncio.wait_for(
+                        connection.request(method, path, body, headers),
+                        timeout,
+                    )
+            except BaseException:
+                if connection is not None:
                     connection.close()
-                    raise
+                raise
             if not connection.closed:
                 self._idle.append(connection)
             return response

@@ -33,9 +33,7 @@ connections, shut the executor down.
 from __future__ import annotations
 
 import asyncio
-import signal
 import sys
-import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -53,7 +51,7 @@ from ..obs.tracer import (
     traced_call,
 )
 from .batcher import JobBatcher
-from .httpd import AsyncHttpServer, HttpRequest, HttpResponse, json_response
+from .httpd import HttpFrontDoor, HttpRequest, HttpResponse, json_response
 from .pipeline import RESULT_SCHEMA, _probe, run_service_job
 from .protocol import Draining, ServiceFault, ServiceJob, normalize_request
 
@@ -91,12 +89,13 @@ class ServiceConfig:
     shard: Optional[str] = None
 
 
-class ServiceServer:
+class ServiceServer(HttpFrontDoor):
     """One service instance; usable from a thread (tests) or the CLI."""
 
     def __init__(
         self, config: ServiceConfig, metrics: Optional[RunMetrics] = None
     ) -> None:
+        super().__init__()
         self.config = config
         self.metrics = metrics if metrics is not None else RunMetrics()
         self.cache = (
@@ -108,14 +107,6 @@ class ServiceServer:
         self._executor: Optional[Executor] = None
         self.executor_kind = "none"
         self._batcher: Optional[JobBatcher] = None
-        self._http: Optional[AsyncHttpServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self.draining = False
-        self.started = threading.Event()
-        self.port: Optional[int] = None
-        self._startup_error: Optional[BaseException] = None
-        self._started_monotonic = time.monotonic()
         # Pre-register the request latency histogram so /metrics always
         # exposes it, even before the first request lands.
         self.metrics.histogram("http_request_seconds")
@@ -126,24 +117,7 @@ class ServiceServer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def run_forever(self) -> None:
-        """Blocking entry point; returns after graceful drain."""
-        try:
-            asyncio.run(self._main())
-        except BaseException as error:
-            self._startup_error = error
-            self.started.set()
-            raise
-
-    def request_shutdown(self) -> None:
-        """Thread-safe drain trigger (what SIGTERM calls)."""
-        loop, event = self._loop, self._shutdown
-        if loop is not None and event is not None:
-            loop.call_soon_threadsafe(event.set)
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._shutdown = asyncio.Event()
+    async def _start(self) -> None:
         self._executor, self.executor_kind = self._make_executor()
         self._batcher = JobBatcher(
             self._run_job,
@@ -152,39 +126,15 @@ class ServiceServer:
             metrics=self.metrics,
         )
         self._batcher.start()
-        self._http = AsyncHttpServer(
-            self.handle,
-            self.config.host,
-            self.config.port,
-            max_body_bytes=self.config.max_body_bytes,
-        )
-        await self._http.start()
-        self.port = self._http.port
-        self._install_signal_handlers()
-        self.started.set()
-        if self.config.announce:
-            print(
-                f"repro service listening on "
-                f"http://{self.config.host}:{self.port} "
-                f"(executor={self.executor_kind}, "
-                f"jobs={self.config.jobs})",
-                file=sys.stderr,
-                flush=True,
-            )
-        await self._shutdown.wait()
-        await self._drain()
+        await self._listen()
 
-    def _install_signal_handlers(self) -> None:
-        assert self._loop is not None and self._shutdown is not None
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                self._loop.add_signal_handler(
-                    signum, self._shutdown.set
-                )
-            except (NotImplementedError, RuntimeError, ValueError):
-                # Non-main thread or unsupported platform: the owner
-                # drives shutdown via request_shutdown() instead.
-                return
+    def _announcement(self) -> str:
+        return (
+            f"repro service listening on "
+            f"http://{self.config.host}:{self.port} "
+            f"(executor={self.executor_kind}, "
+            f"jobs={self.config.jobs})"
+        )
 
     def _make_executor(self):
         if self.config.executor == "thread":
@@ -361,18 +311,6 @@ class ServiceServer:
 
     # -- introspection -----------------------------------------------------
 
-    def _wants_prometheus(self, request: HttpRequest) -> bool:
-        """Content negotiation for /metrics: Prometheus text on an
-        explicit ``Accept: text/plain`` or ``?format=prometheus``;
-        JSON (the historical format) otherwise."""
-        target = request.target
-        if "?" in target:
-            query = target.split("?", 1)[1]
-            if "format=prometheus" in query.split("&"):
-                return True
-        accept = request.headers.get("accept", "")
-        return "text/plain" in accept
-
     def _prometheus_text(self) -> str:
         # Refresh the gauges exactly like the JSON payload does.
         self._metrics_payload()
@@ -407,21 +345,6 @@ class ServiceServer:
             "service_memo_entries", float(len(self._memo))
         )
         return self.metrics.to_dict()
-
-    def _fault_response(self, fault: ServiceFault) -> HttpResponse:
-        self.metrics.count(f"http_{fault.status}")
-        headers = {}
-        if fault.retry_after is not None:
-            headers["Retry-After"] = f"{fault.retry_after:g}"
-        return json_response(fault.status, fault.to_payload(), headers)
-
-    def _error_response(
-        self, status: int, error_type: str, message: str
-    ) -> HttpResponse:
-        self.metrics.count(f"http_{status}")
-        return json_response(
-            status, {"error": {"type": error_type, "message": message}}
-        )
 
 
 def serve_forever(
