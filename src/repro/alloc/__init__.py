@@ -12,7 +12,6 @@ from .allocator import (
 from .analysis import (
     KernelAnalysis,
     analyze_kernel,
-    clear_analysis_cache,
     kernel_analysis,
 )
 from .intervals import EntryFile
@@ -45,7 +44,6 @@ __all__ = [
     "KernelAnalysis",
     "analyze_kernel",
     "allocate_kernels_batch",
-    "clear_analysis_cache",
     "kernel_analysis",
     "ReadOperandAssignment",
     "ReadOperandCandidate",

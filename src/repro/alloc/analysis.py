@@ -26,10 +26,11 @@ share the same cached analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..analysis.cfg import ControlFlowGraph
 from ..analysis.reaching import ReachingDefinitions
+from ..engine.cache import BoundedCache
 from ..ir.kernel import Kernel
 from ..obs.tracer import TRACER
 from ..strands.model import StrandPartition
@@ -96,10 +97,9 @@ def analyze_kernel(
 
 
 #: (kernel content fingerprint, assume_persistent) -> KernelAnalysis.
-#: Bounded like the compiled layer's analysis cache: cleared wholesale
-#: at the limit, which keeps long fuzz runs from accumulating kernels.
-_ANALYSIS_CACHE: Dict[Tuple[str, bool], KernelAnalysis] = {}
-_ANALYSIS_CACHE_LIMIT = 128
+#: Bounded so long fuzz runs cannot accumulate kernels.
+_ANALYSIS_ENTRIES = 128
+_ANALYSIS_CACHE = BoundedCache("alloc.analyses", _ANALYSIS_ENTRIES)
 
 
 def kernel_analysis(
@@ -111,16 +111,7 @@ def kernel_analysis(
     a fingerprint hit is exact; structurally identical kernels (and all
     their clones) share one entry per ``assume_persistent`` flavour.
     """
-    key = (kernel.content_fingerprint(), assume_persistent)
-    hit = _ANALYSIS_CACHE.get(key)
-    if hit is None:
-        if len(_ANALYSIS_CACHE) >= _ANALYSIS_CACHE_LIMIT:
-            _ANALYSIS_CACHE.clear()
-        hit = analyze_kernel(kernel, assume_persistent)
-        _ANALYSIS_CACHE[key] = hit
-    return hit
-
-
-def clear_analysis_cache() -> None:
-    """Drop every cached analysis (benchmark cold-start, tests)."""
-    _ANALYSIS_CACHE.clear()
+    return _ANALYSIS_CACHE.get_or_compute(
+        (kernel.content_fingerprint(), assume_persistent),
+        lambda: analyze_kernel(kernel, assume_persistent),
+    )

@@ -630,12 +630,20 @@ def _make_stopping_rule(args):
         raise SystemExit(f"repro: error: {error}")
 
 
+def _write_engine_metrics(engine, path: str) -> None:
+    """Write the engine's metrics with every live cache's gauges."""
+    from .engine.cache import publish_cache_metrics
+
+    publish_cache_metrics(engine.metrics)
+    engine.metrics.write(path)
+
+
 def _finish_engine(engine, args) -> None:
     if engine is None:
         return
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
-        engine.metrics.write(metrics_out)
+        _write_engine_metrics(engine, metrics_out)
     print(engine.metrics.summary(), file=sys.stderr)
 
 
@@ -885,7 +893,7 @@ def _run_trace(args) -> int:
             f"{evaluation.dynamic_instructions} dyn instrs"
         )
     if args.metrics_out:
-        engine.metrics.write(args.metrics_out)
+        _write_engine_metrics(engine, args.metrics_out)
     print(engine.metrics.summary(), file=sys.stderr)
     return 0
 

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache.
+"""Content-addressed on-disk cache, and the bounded in-memory memo.
 
 Layout: ``<root>/<kind>/<key[:2]>/<key>.<json|pkl>`` where ``key`` is a
 SHA-256 hex fingerprint of everything that determines the entry's
@@ -24,7 +24,12 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Any, List, Optional, Tuple
+import threading
+import weakref
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+
+from ..obs.registry import labeled_name
 
 
 class DiskCache:
@@ -139,3 +144,77 @@ class DiskCache:
             self._path(kind, key, "pkl"),
             pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
         )
+
+
+_MISSING = object()
+
+#: Every live BoundedCache, for :func:`publish_cache_metrics`.
+_LIVE: "weakref.WeakSet[BoundedCache]" = weakref.WeakSet()
+_LIVE_LOCK = threading.Lock()
+
+
+class BoundedCache:
+    """An LRU memo of at most ``max_entries`` entries, safe to share
+    between threads.  ``build`` runs outside the lock, so racing misses
+    on one key may both build it; values are pure functions of their
+    keys, so callers never count on an entry surviving."""
+
+    def __init__(self, name: str, max_entries: int) -> None:
+        self.name, self.max_entries = name, max_entries
+        self.hits = self.misses = self.evictions = 0
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        with _LIVE_LOCK:
+            _LIVE.add(self)
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        with self._lock:
+            if key not in self._entries:
+                self.misses += 1
+                return default
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return self._entries[key]
+
+    def __setitem__(self, key: Hashable, value: Any) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
+    def get_or_compute(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
+            value = self[key] = build()
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+def publish_cache_metrics(metrics) -> None:
+    """Set ``cache_{hits,misses,evictions,size}{cache="<name>"}``
+    gauges on ``metrics`` for every live cache of this process, summed
+    over caches sharing a name."""
+    totals: Dict[str, List[int]] = {}
+    with _LIVE_LOCK:
+        caches = list(_LIVE)
+    for cache in caches:
+        row = totals.setdefault(cache.name, [0, 0, 0, 0])
+        row[0] += cache.hits
+        row[1] += cache.misses
+        row[2] += cache.evictions
+        row[3] += len(cache)
+    for name, row in totals.items():
+        for family, value in zip(
+            ("cache_hits", "cache_misses", "cache_evictions", "cache_size"),
+            row,
+        ):
+            metrics.gauge(labeled_name(family, cache=name), float(value))

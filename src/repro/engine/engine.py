@@ -31,7 +31,6 @@ from ..ir.kernel import Kernel
 from ..obs.tracer import TRACER
 from ..sim.executor import WarpInput
 from ..sim.runner import (
-    AllocationMemo,
     KernelEvaluation,
     TraceSet,
     build_traces,
@@ -40,7 +39,7 @@ from ..sim.runner import (
 )
 from ..sim.schemes import Scheme
 from ..workloads.suites import BENCHMARK_NAMES
-from .cache import DiskCache
+from .cache import BoundedCache, DiskCache
 from .hashing import digest, warp_inputs_fingerprint
 from .jobs import EvaluationJob, run_evaluation_job
 from .metrics import RunMetrics
@@ -53,6 +52,10 @@ from .records import (
     traceset_from_payload,
     traceset_to_payload,
 )
+
+
+#: Entry bound of each memo (a cold ``repro all`` holds ~1800 records).
+_ENTRIES = 8192
 
 
 class ExperimentEngine:
@@ -72,9 +75,9 @@ class ExperimentEngine:
             else None
         )
         self.metrics = metrics if metrics is not None else RunMetrics()
-        self.allocation_memo: AllocationMemo = {}
-        self._records: Dict[str, Dict[str, Any]] = {}
-        self._studies: Dict[str, Any] = {}
+        self.allocation_memo = BoundedCache("engine.allocations", _ENTRIES)
+        self._records = BoundedCache("engine.records", _ENTRIES)
+        self._studies = BoundedCache("engine.studies", _ENTRIES)
 
     # -- traces ------------------------------------------------------------
 
@@ -192,9 +195,10 @@ class ExperimentEngine:
         runs on a miss.
         """
         key = digest("study", *parts)
-        if key in self._studies:
+        value = self._studies.get(key)
+        if value is not None:
             self.metrics.count("study_memo_hits")
-            return self._studies[key]
+            return value
         if self.cache is not None:
             cached = self.cache.get_json("studies", key)
             if cached is not None:

@@ -17,11 +17,12 @@ only traces and allocates it once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 from ..sim.runner import TraceSet, build_traces, evaluate_traces
 from ..sim.schemes import Scheme
 from ..workloads.suites import get_workload
+from .cache import BoundedCache
 from .records import record_payload
 
 
@@ -34,19 +35,18 @@ class EvaluationJob:
     scheme: Scheme
 
 
-#: Per-worker-process memos, keyed by (workload name, scale).
-_WORKER_TRACES: Dict[Tuple[str, float], TraceSet] = {}
-_WORKER_ALLOCATIONS: Dict = {}
+#: Per-worker-process memos.
+_ENTRIES = 8192
+_WORKER_TRACES = BoundedCache("engine.worker_traces", _ENTRIES)
+_WORKER_ALLOCATIONS = BoundedCache("engine.worker_allocations", _ENTRIES)
 
 
 def _worker_traces(workload: str, scale: float) -> TraceSet:
-    key = (workload, scale)
-    traces = _WORKER_TRACES.get(key)
-    if traces is None:
+    def build() -> TraceSet:
         spec = get_workload(workload, scale)
-        traces = build_traces(spec.kernel, spec.warp_inputs)
-        _WORKER_TRACES[key] = traces
-    return traces
+        return build_traces(spec.kernel, spec.warp_inputs)
+
+    return _WORKER_TRACES.get_or_compute((workload, scale), build)
 
 
 def run_evaluation_job(job: EvaluationJob) -> Dict[str, Any]:

@@ -44,7 +44,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alloc.allocator import allocate_kernel, allocate_kernels_batch
-from ..alloc.analysis import analyze_kernel, clear_analysis_cache
+from ..alloc.analysis import _ANALYSIS_CACHE, analyze_kernel
 from ..sim.runner import (
     AllocationMemo,
     TraceSet,
@@ -261,7 +261,7 @@ def _bench_allocation(
         return time.perf_counter() - started
 
     def _batch() -> float:
-        clear_analysis_cache()
+        _ANALYSIS_CACHE.clear()
         started = time.perf_counter()
         for kernel in kernels:
             allocate_kernels_batch(kernel, configs)

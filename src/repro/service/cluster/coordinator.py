@@ -41,11 +41,11 @@ import asyncio
 import json
 import sys
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ... import __version__
+from ...engine.cache import BoundedCache, publish_cache_metrics
 from ...engine.metrics import SCHEMA_VERSION, RunMetrics
 from ...obs.registry import (
     PROMETHEUS_CONTENT_TYPE,
@@ -182,11 +182,11 @@ class ClusterCoordinator(HttpFrontDoor):
                     connect_timeout_s=config.connect_timeout_s,
                 ),
             )
-        self._routes: "OrderedDict[Tuple[str, bytes], _Route]" = (
-            OrderedDict()
+        self._routes = BoundedCache(
+            "cluster.routes", config.route_cache_entries
         )
-        self._front: "OrderedDict[str, Tuple[int, str, bytes]]" = (
-            OrderedDict()
+        self._front = BoundedCache(
+            "cluster.front", config.front_cache_entries
         )
         self._hot_until: Dict[str, float] = {}
         self._hot_rr: Dict[str, int] = {}
@@ -316,10 +316,12 @@ class ClusterCoordinator(HttpFrontDoor):
                 if self._wants_prometheus(request):
                     return HttpResponse(
                         200,
-                        self.metrics.to_prometheus().encode("utf-8"),
+                        render_prometheus(self._metrics_snapshot()).encode(
+                            "utf-8"
+                        ),
                         content_type=PROMETHEUS_CONTENT_TYPE,
                     )
-                return json_response(200, self.metrics.to_dict())
+                return json_response(200, self._metrics_snapshot())
             if path in ("/v1/allocate", "/v1/evaluate", "/v1/tune"):
                 if request.method != "POST":
                     return self._error_response(
@@ -348,7 +350,6 @@ class ClusterCoordinator(HttpFrontDoor):
 
         cached = self._front.get(fingerprint)
         if cached is not None:
-            self._front.move_to_end(fingerprint)
             self.metrics.count("cluster_front_cache_hits")
             status, content_type, body = cached
             self.metrics.count(f"http_{status}")
@@ -484,9 +485,6 @@ class ClusterCoordinator(HttpFrontDoor):
                 headers.get("content-type", "application/json"),
                 payload,
             )
-            self._front.move_to_end(fingerprint)
-            while len(self._front) > self.config.front_cache_entries:
-                self._front.popitem(last=False)
         out_headers: Dict[str, str] = {}
         if "retry-after" in headers:
             out_headers["Retry-After"] = headers["retry-after"]
@@ -503,7 +501,6 @@ class ClusterCoordinator(HttpFrontDoor):
         key = (op, hashlib.sha256(body).digest())
         route = self._routes.get(key)
         if route is not None:
-            self._routes.move_to_end(key)
             self.metrics.count("cluster_route_cache_hits")
             return route
         route = _Route()
@@ -519,8 +516,6 @@ class ClusterCoordinator(HttpFrontDoor):
                 # normalisation frames (traceback, cause) in the cache.
                 route.fault = type(fault)(str(fault), fault.retry_after)
         self._routes[key] = route
-        while len(self._routes) > self.config.route_cache_entries:
-            self._routes.popitem(last=False)
         return route
 
     def _note_request(self, route: _Route, fingerprint: str) -> bool:
@@ -664,6 +659,11 @@ class ClusterCoordinator(HttpFrontDoor):
             },
         }
 
+    def _metrics_snapshot(self) -> Dict[str, Any]:
+        """The coordinator's own metrics, cache gauges refreshed."""
+        publish_cache_metrics(self.metrics)
+        return self.metrics.to_dict()
+
     async def _shard_metric_snapshots(
         self,
     ) -> List[Tuple[ShardState, Optional[Dict[str, Any]]]]:
@@ -756,7 +756,7 @@ class ClusterCoordinator(HttpFrontDoor):
             "schema": SCHEMA_VERSION,
             "role": "coordinator",
             "shards": shards,
-            "coordinator": self.metrics.to_dict(),
+            "coordinator": self._metrics_snapshot(),
             "aggregate": self._aggregate_metrics(shard_snapshots),
         }
 
@@ -785,7 +785,7 @@ class ClusterCoordinator(HttpFrontDoor):
                     combined["stages"].get(name, 0.0) + float(value), 9
                 )
 
-        fold(self.metrics.to_dict(), "coordinator")
+        fold(self._metrics_snapshot(), "coordinator")
         shard_snapshots = []
         for shard, snapshot in gathered:
             if snapshot is None:
@@ -810,6 +810,7 @@ def coordinate_forever(
     except KeyboardInterrupt:
         pass
     if metrics_out:
+        publish_cache_metrics(coordinator.metrics)
         coordinator.metrics.write(metrics_out)
     print(coordinator.metrics.summary(), file=sys.stderr)
     return 0

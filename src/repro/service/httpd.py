@@ -9,7 +9,7 @@ service is an internal tier behind whatever terminates the edge.
 The server is handler-agnostic: one async callable maps
 :class:`HttpRequest` to :class:`HttpResponse`.  Handler exceptions
 become opaque 500s (the traceback stays server-side); protocol
-violations become 400/405/413/431 and close the connection.
+violations become 400/405/413/414/431 and close the connection.
 
 The client side is :class:`HttpConnection`, the one keep-alive
 exchange the async service client and the cluster's shard pools
@@ -53,6 +53,7 @@ REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -99,15 +100,29 @@ class ProtocolError(ValueError):
         self.status = status
 
 
+async def _read_line(
+    reader: asyncio.StreamReader, status: int, what: str
+) -> bytes:
+    """One line; past ``_READ_LIMIT`` a :class:`ProtocolError` with
+    ``status`` (the stream raises a bare ``ValueError`` there)."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ProtocolError(
+            status, f"{what} exceeds {_READ_LIMIT} bytes"
+        ) from None
+
+
 async def read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
     """Header lines up to the blank line, names lower-cased.
 
-    Raises :class:`ProtocolError` (431 past ``_MAX_HEADERS``, 400 on a
-    line without a colon) and ``ConnectionError`` on EOF mid-headers.
+    Raises :class:`ProtocolError` (431 past ``_MAX_HEADERS`` or on an
+    over-long line, 400 on a line without a colon) and
+    ``ConnectionError`` on EOF mid-headers.
     """
     headers: Dict[str, str] = {}
     for count in range(_MAX_HEADERS + 1):
-        line = await reader.readline()
+        line = await _read_line(reader, 431, "header line")
         if line in (b"\r\n", b"\n"):
             break
         if not line:
@@ -244,7 +259,7 @@ class AsyncHttpServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[HttpRequest]:
-        line = await reader.readline()
+        line = await _read_line(reader, 414, "request line")
         if not line:
             return None  # clean EOF between requests
         try:

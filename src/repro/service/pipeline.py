@@ -29,15 +29,15 @@ candidate evaluations across tune requests landing on the same worker.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from ..alloc.serialize import annotations_to_dict
+from ..engine.cache import BoundedCache
 from ..engine.hashing import json_fingerprint
 from ..engine.records import record_payload
 from ..ir.kernel import Kernel
 from ..ir.parser import parse_kernels
 from ..sim.runner import (
-    AllocationMemo,
     TraceSet,
     allocate_for_traces,
     build_traces,
@@ -51,10 +51,11 @@ RESULT_SCHEMA = 1
 #: Per-worker-process memos.  Keys are content-derived (text digest,
 #: registry name + scale), so results never depend on which process
 #: computed them.
-_KERNELS: Dict[str, Kernel] = {}
-_TRACES: Dict[Tuple[str, str], TraceSet] = {}
-_BENCH_TRACES: Dict[Tuple[str, float], TraceSet] = {}
-_ALLOCATIONS: AllocationMemo = {}
+_ENTRIES = 4096
+_KERNELS = BoundedCache("service.kernels", _ENTRIES)
+_TRACES = BoundedCache("service.traces", _ENTRIES)
+_BENCH_TRACES = BoundedCache("service.bench_traces", _ENTRIES)
+_ALLOCATIONS = BoundedCache("service.allocations", _ENTRIES)
 
 #: Per-process engine for tune jobs: the search evaluates dozens of
 #: schemes per request, and the engine's record memo carries candidate
@@ -77,32 +78,26 @@ def _probe() -> str:
 
 
 def _text_kernel(text: str) -> Kernel:
-    key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    kernel = _KERNELS.get(key)
-    if kernel is None:
-        kernel = parse_kernels(text)[0]
-        _KERNELS[key] = kernel
-    return kernel
+    return _KERNELS.get_or_compute(
+        hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        lambda: parse_kernels(text)[0],
+    )
 
 
 def _text_traces(text: str, warps_json: List[Dict[str, Any]]) -> TraceSet:
     kernel = _text_kernel(text)
-    key = (kernel.content_fingerprint(), json_fingerprint(warps_json))
-    traces = _TRACES.get(key)
-    if traces is None:
-        traces = build_traces(kernel, warps_from_json(warps_json))
-        _TRACES[key] = traces
-    return traces
+    return _TRACES.get_or_compute(
+        (kernel.content_fingerprint(), json_fingerprint(warps_json)),
+        lambda: build_traces(kernel, warps_from_json(warps_json)),
+    )
 
 
 def _benchmark_traces(name: str, scale: float) -> TraceSet:
-    key = (name, scale)
-    traces = _BENCH_TRACES.get(key)
-    if traces is None:
+    def build() -> TraceSet:
         spec = get_workload(name, scale)
-        traces = build_traces(spec.kernel, spec.warp_inputs)
-        _BENCH_TRACES[key] = traces
-    return traces
+        return build_traces(spec.kernel, spec.warp_inputs)
+
+    return _BENCH_TRACES.get_or_compute((name, scale), build)
 
 
 def _job_traces(payload: Dict[str, Any]) -> TraceSet:

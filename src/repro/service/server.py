@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from .. import __version__
-from ..engine.cache import DiskCache
+from ..engine.cache import BoundedCache, DiskCache, publish_cache_metrics
 from ..engine.metrics import SCHEMA_VERSION, RunMetrics
 from ..obs.exporters import write_chrome_trace
 from ..obs.registry import PROMETHEUS_CONTENT_TYPE
@@ -54,6 +54,9 @@ from .batcher import JobBatcher
 from .httpd import HttpFrontDoor, HttpRequest, HttpResponse, json_response
 from .pipeline import RESULT_SCHEMA, _probe, run_service_job
 from .protocol import Draining, ServiceFault, ServiceJob, normalize_request
+
+
+_RESULT_MEMO_ENTRIES = 4096
 
 
 @dataclass
@@ -103,7 +106,7 @@ class ServiceServer(HttpFrontDoor):
             if config.cache_dir
             else None
         )
-        self._memo: Dict[str, Dict[str, Any]] = {}
+        self._memo = BoundedCache("service.results", _RESULT_MEMO_ENTRIES)
         self._executor: Optional[Executor] = None
         self.executor_kind = "none"
         self._batcher: Optional[JobBatcher] = None
@@ -344,6 +347,7 @@ class ServiceServer(HttpFrontDoor):
         self.metrics.gauge(
             "service_memo_entries", float(len(self._memo))
         )
+        publish_cache_metrics(self.metrics)
         return self.metrics.to_dict()
 
 
@@ -357,6 +361,7 @@ def serve_forever(
     except KeyboardInterrupt:
         pass
     if metrics_out:
+        server._metrics_payload()
         server.metrics.write(metrics_out)
     if config.trace_out:
         write_chrome_trace(config.trace_out, TRACER.drain())

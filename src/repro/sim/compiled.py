@@ -62,6 +62,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from ..engine.cache import BoundedCache
 from ..hierarchy.counters import (
     SLOT_INDEX,
     AccessCounters,
@@ -279,20 +280,16 @@ def operand_table(kernel: Kernel) -> StaticOperandTable:
 #: Structurally identical kernels share one analysis (registers and
 #: positions are value objects), so clones and cache-restored kernels
 #: hit.  Bounded so fuzzed throwaway kernels cannot grow it forever.
-_ANALYSIS_CACHE: Dict[str, Tuple[PointLiveness, FrozenSet[int]]] = {}
-_ANALYSIS_CACHE_LIMIT = 256
+_ANALYSIS_ENTRIES = 256
+_ANALYSIS_CACHE = BoundedCache("sim.kernel_analyses", _ANALYSIS_ENTRIES)
 
 
 def kernel_analyses(kernel: Kernel) -> Tuple[PointLiveness, FrozenSet[int]]:
     """Cached (liveness, shared-consumed positions) for a kernel."""
-    fingerprint = kernel.content_fingerprint()
-    hit = _ANALYSIS_CACHE.get(fingerprint)
-    if hit is None:
-        if len(_ANALYSIS_CACHE) >= _ANALYSIS_CACHE_LIMIT:
-            _ANALYSIS_CACHE.clear()
-        hit = (PointLiveness(kernel), shared_consumed_positions(kernel))
-        _ANALYSIS_CACHE[fingerprint] = hit
-    return hit
+    return _ANALYSIS_CACHE.get_or_compute(
+        kernel.content_fingerprint(),
+        lambda: (PointLiveness(kernel), shared_consumed_positions(kernel)),
+    )
 
 
 # -- vectorized stateless accounting ---------------------------------------

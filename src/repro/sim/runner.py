@@ -20,7 +20,7 @@ is kept bit-for-bit as the differential-testing oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, MutableMapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..alloc.allocator import (
     AllocationConfig,
@@ -29,6 +29,7 @@ from ..alloc.allocator import (
     allocate_kernels_batch,
 )
 from ..energy.model import EnergyModel
+from ..engine.cache import BoundedCache
 from ..analysis.usage import UsageHistogram, ValueUsageTracker
 from ..hierarchy.counters import AccessCounters
 from ..hierarchy.hw_lrf import HardwareThreeLevel
@@ -120,16 +121,16 @@ class KernelEvaluation:
     allocation: Optional[AllocationResult] = None
 
 
-#: Memo for clone-based allocations, shared across scheme evaluations.
+#: Memo for clone-based allocations, shared across scheme evaluations
+#: (a :class:`BoundedCache`, or a plain dict for a one-off sweep).
 #: Keyed on (kernel content fingerprint, allocation config, energy
 #: model); both value types are frozen dataclasses, so plain dict
 #: lookup gives exact-match semantics.  The model component is
 #: *normalized*: ``None`` and an explicit model equal to
 #: ``config.energy_model()`` map to the same key, since they produce
 #: identical allocations.
-AllocationMemo = MutableMapping[
-    Tuple[str, AllocationConfig, Optional[EnergyModel]], AllocationResult
-]
+AllocationKey = Tuple[str, AllocationConfig, Optional[EnergyModel]]
+AllocationMemo = Union[BoundedCache, Dict[AllocationKey, AllocationResult]]
 
 
 def _memo_model(
@@ -150,7 +151,7 @@ def allocation_memo_key(
     kernel: Kernel,
     config: AllocationConfig,
     model: Optional[EnergyModel] = None,
-) -> Tuple[str, AllocationConfig, Optional[EnergyModel]]:
+) -> AllocationKey:
     """The normalized memo key for one (kernel, config, model) triple."""
     return (
         kernel.content_fingerprint(),
@@ -201,32 +202,17 @@ def allocate_for_traces_batch(
     """
     if memo is None:
         return allocate_kernels_batch(kernel, list(configs), model=model)
-    results: List[Optional[AllocationResult]] = [None] * len(configs)
-    missing: List[int] = []
-    queued: set = set()
-    for index, config in enumerate(configs):
-        key = allocation_memo_key(kernel, config, model)
-        hit = memo.get(key)
-        if hit is not None:
-            results[index] = hit
-        elif key not in queued:
-            # Duplicate keys within one batch allocate once.
-            queued.add(key)
-            missing.append(index)
+    keys = [allocation_memo_key(kernel, c, model) for c in configs]
+    found = {key: memo.get(key) for key in keys}
+    # Misses in first-seen order; duplicate keys allocate once.
+    missing = {k: c for k, c in zip(keys, configs) if found[k] is None}
     if missing:
         fresh = allocate_kernels_batch(
-            kernel, [configs[i] for i in missing], model=model
+            kernel, list(missing.values()), model=model
         )
-        for index, allocation in zip(missing, fresh):
-            memo[
-                allocation_memo_key(kernel, configs[index], model)
-            ] = allocation
-    for index, config in enumerate(configs):
-        if results[index] is None:
-            results[index] = memo[
-                allocation_memo_key(kernel, config, model)
-            ]
-    return results  # type: ignore[return-value]
+        for key, allocation in zip(missing, fresh):
+            memo[key] = found[key] = allocation
+    return [found[key] for key in keys]
 
 
 def _cached_baseline(traces: TraceSet) -> AccessCounters:

@@ -18,7 +18,6 @@ from repro.alloc import (
     AllocationConfig,
     allocate_kernel,
     allocate_kernels_batch,
-    clear_analysis_cache,
     kernel_analysis,
 )
 from repro.alloc.analysis import _ANALYSIS_CACHE
@@ -77,7 +76,7 @@ def _check_batch_equals_singles(kernel, configs):
     )
     for config, recorder, batched in zip(configs, batch_recorders, batch):
         # Independent run: cold analysis, nothing shared with the batch.
-        clear_analysis_cache()
+        _ANALYSIS_CACHE.clear()
         single_recorder = ProvenanceRecorder()
         single = allocate_kernel(
             kernel.clone(), config, recorder=single_recorder
@@ -124,7 +123,7 @@ def test_batch_result_order_matches_configs():
 
 def test_batch_shares_one_analysis_per_persistence_flavour():
     spec = generate_workload(101, num_warps=1)
-    clear_analysis_cache()
+    _ANALYSIS_CACHE.clear()
     allocate_kernels_batch(spec.kernel, SWEEP_CONFIGS)
     flavours = {c.assume_persistent_strands for c in SWEEP_CONFIGS}
     assert len(_ANALYSIS_CACHE) == len(flavours)
@@ -132,7 +131,7 @@ def test_batch_shares_one_analysis_per_persistence_flavour():
 
 def test_analysis_cache_hits_across_clones():
     spec = generate_workload(7, num_warps=1)
-    clear_analysis_cache()
+    _ANALYSIS_CACHE.clear()
     first = kernel_analysis(spec.kernel)
     again = kernel_analysis(spec.kernel.clone())
     assert again is first
@@ -144,7 +143,7 @@ def test_analysis_cache_hits_across_clones():
 def test_analysis_clone_is_never_annotated():
     """The analysis's pristine clone stays pristine across levels runs."""
     spec = generate_workload(211, num_warps=1)
-    clear_analysis_cache()
+    _ANALYSIS_CACHE.clear()
     analysis = kernel_analysis(spec.kernel)
     allocate_kernels_batch(spec.kernel, SWEEP_CONFIGS)
     for _, instruction in analysis.kernel.instructions():
@@ -156,7 +155,7 @@ def test_recorder_does_not_pollute_shared_analysis():
     """Recording one config of a batch leaves the cache reusable: a
     later unrecorded batch from the same cache is unchanged."""
     spec = generate_workload(320, num_warps=1)
-    clear_analysis_cache()
+    _ANALYSIS_CACHE.clear()
     plain = allocate_kernels_batch(spec.kernel, SWEEP_CONFIGS)
     recorders = [ProvenanceRecorder() for _ in SWEEP_CONFIGS]
     recorded = allocate_kernels_batch(

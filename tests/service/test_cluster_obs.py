@@ -120,3 +120,22 @@ def test_cluster_metrics_prometheus_carries_shard_labels():
     assert 'repro_http_request_seconds_count{shard="cluster"}' in text
     # One HELP/TYPE block per metric family, not per shard.
     assert text.count("# TYPE repro_http_requests_total counter") == 1
+
+
+def test_coordinator_publishes_its_cache_gauges():
+    with running_cluster(num_shards=1) as (coordinator, _shards):
+        client = ServiceClient(port=coordinator.port)
+        for _ in range(3):
+            client.allocate(**allocate_body())
+        text = _get(coordinator.port, "/metrics?format=prometheus")
+        snapshot = json.loads(_get(coordinator.port, "/metrics"))
+    for cache in ("cluster.routes", "cluster.front"):
+        for family in ("hits", "misses", "evictions", "size"):
+            assert f'repro_cache_{family}{{cache="{cache}"}}' in text
+    # One distinct body: one route miss, then hits.  The gauges sum
+    # every live coordinator of this process, so they bound from above.
+    routes = coordinator._routes
+    assert (routes.misses, routes.hits, len(routes)) == (1, 2, 1)
+    gauges = snapshot["gauges"]
+    assert gauges['cache_hits{cache="cluster.routes"}'] >= 2
+    assert gauges['cache_size{cache="cluster.routes"}'] >= 1

@@ -1,7 +1,7 @@
 """Hostile request heads, as raw bytes, against a live ServiceServer.
 
 Every malformed head must get its typed ``protocol_error`` JSON body
-(400, 413 or 431) and a closed connection, and must leave the server
+(400, 413, 414 or 431) and a closed connection, and must leave the server
 healthy: ``/healthz`` answers 200 on a new connection afterwards.
 """
 
@@ -15,6 +15,8 @@ from repro.service.client import ServiceClient
 from repro.service.server import ServiceConfig, ServiceServer
 
 MAX_BODY = 1024
+#: Longer than the server's 64 KiB line limit.
+LONG = "a" * (70 * 1024)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,12 @@ def _post(*headers: str) -> bytes:
             413,
             f"body exceeds {MAX_BODY} bytes",
         ),
+        (
+            f"GET /{LONG} HTTP/1.1\r\n\r\n".encode("latin-1"),
+            414,
+            "request line exceeds",
+        ),
+        (_post(f"X-Long: {LONG}"), 431, "header line exceeds"),
     ],
     ids=[
         "request-line",
@@ -90,6 +98,8 @@ def _post(*headers: str) -> bytes:
         "length-abc",
         "length-negative",
         "length-too-large",
+        "long-request-line",
+        "long-header-line",
     ],
 )
 def test_hostile_head_gets_typed_error_and_close(

@@ -8,7 +8,7 @@ This runs :func:`run_service_job` in-process (the worker entry point is
 a plain function) and inspects the cache directly.
 """
 
-from repro.alloc.analysis import _ANALYSIS_CACHE, clear_analysis_cache
+from repro.alloc.analysis import _ANALYSIS_CACHE
 from repro.service.pipeline import run_service_job
 from repro.service.protocol import normalize_request
 from repro.sim.schemes import Scheme, SchemeKind
@@ -36,7 +36,7 @@ def test_worker_shares_one_analysis_across_schemes():
         Scheme(SchemeKind.SW_THREE_LEVEL, 3),
         Scheme(SchemeKind.SW_THREE_LEVEL, 3, split_lrf=True),
     ]
-    clear_analysis_cache()
+    _ANALYSIS_CACHE.clear()
     results = [run_service_job(_allocate_job(s)) for s in schemes]
     # Five schemes, one kernel, one persistence flavour: one analysis.
     assert len(_ANALYSIS_CACHE) == 1

@@ -93,6 +93,25 @@ def test_evaluate_matches_direct_path_and_memoizes():
         assert strip(second) == strip(first)
 
 
+def test_metrics_publish_cache_gauges():
+    with running_server() as server:
+        client = client_for(server)
+        client.evaluate(**EVAL_BODY)
+        client.evaluate(**EVAL_BODY)
+        client.evaluate(benchmark="vectoradd", scheme={"kind": "hw_lrf"})
+        gauges = client.metrics()["gauges"]
+        text = client.request_raw("GET", "/metrics?format=prometheus")[1]
+    text = text["raw"]
+    for cache in ("service.results", "alloc.analyses", "sim.kernel_analyses"):
+        for family in ("hits", "misses", "evictions", "size"):
+            assert f'repro_cache_{family}{{cache="{cache}"}}' in text
+    # Summed over every live server of this process: a lower bound.
+    assert gauges['cache_hits{cache="service.results"}'] >= 1
+    assert gauges['cache_size{cache="service.results"}'] >= (
+        gauges["service_memo_entries"]
+    )
+
+
 def test_allocate_endpoint():
     with running_server() as server:
         result = client_for(server).allocate(
