@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _FIGURES, _plan_schemes, main
 
 
 class TestVersion:
@@ -115,3 +115,33 @@ class TestFigureCommands:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestPrefetchPlan:
+    """Every figure is fully served by its prefetch plan: after
+    ``prefetch(_plan_schemes([name]))`` the figure evaluates nothing
+    inline (so ``--jobs N`` fans all of its work out to the pool)."""
+
+    @pytest.fixture(scope="class")
+    def items(self):
+        from repro.experiments import SuiteData
+        from repro.workloads import get_workload
+
+        workloads = [
+            get_workload(name, 0.1)
+            for name in ("vectoradd", "histogram", "reduction")
+        ]
+        return SuiteData.build(workloads, scale=0.1).items
+
+    @pytest.mark.parametrize("name", list(_FIGURES))
+    def test_figure_takes_no_record_misses_after_prefetch(self, name, items):
+        from repro.engine import ExperimentEngine
+        from repro.experiments import SuiteData
+
+        data = SuiteData(items, scale=0.1, engine=ExperimentEngine())
+        data.prefetch(_plan_schemes([name]))
+        counters = data.engine.metrics.counters
+        before = counters.get("record_misses", 0)
+        run, _ = _FIGURES[name]
+        run(data)
+        assert counters.get("record_misses", 0) == before
