@@ -36,6 +36,7 @@ command is one ``_run_*`` handler bound with ``set_defaults``.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 import time
@@ -46,6 +47,7 @@ from . import experiments
 from .alloc.allocator import AllocationConfig, allocate_kernel
 from .bench import make_rule, run_diff
 from .energy.tables import ORF_ENERGY_PJ
+from .engine import ExperimentEngine
 from .engine.cache import publish_cache_metrics
 from .experiments import fig11, fig12, fig13, fig14
 from .ir.parser import AsmSyntaxError, parse_kernels
@@ -118,16 +120,22 @@ def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
     return convert
 
 
-def _positive_float(text: str) -> float:
+def _positive_float(text: str, zero_ok: bool = False) -> float:
+    """Finite numbers > 0 (``zero_ok``: >= 0)."""
     try:
         value = float(text)
     except ValueError:
-        value = 0.0
-    if not 0.0 < value < float("inf"):
+        value = math.nan
+    above = value >= 0.0 if zero_ok else value > 0.0
+    if not (above and math.isfinite(value)):
+        bound = ">= 0" if zero_ok else "> 0"
         raise argparse.ArgumentTypeError(
-            f"expected a number > 0, got {text!r}"
+            f"expected a finite number {bound}, got {text!r}"
         )
     return value
+
+
+_non_negative_float = partial(_positive_float, zero_ok=True)
 
 
 def _shard_label(text: str) -> str:
@@ -286,11 +294,11 @@ def _add_repeater_flags(cmd: argparse.ArgumentParser) -> None:
              "stability (ks); default: the tool's built-in rule",
     )
     cmd.add_argument(
-        "--min-repeats", type=int, default=None,
+        "--min-repeats", type=_int_in(1), default=None,
         help="repeats before the stopping rule may fire",
     )
     cmd.add_argument(
-        "--max-repeats", type=int, default=None,
+        "--max-repeats", type=_int_in(1), default=None,
         help="hard repeat cap regardless of the rule",
     )
     cmd.add_argument(
@@ -415,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_diff.add_argument("old", help="baseline BENCH JSON")
     bench_diff.add_argument("new", help="candidate BENCH JSON")
     bench_diff.add_argument(
-        "--gate", type=float, default=5.0,
+        "--gate", type=_non_negative_float, default=5.0,
         help="regression gate in percent: a comparable metric moving "
              "worse than this with non-overlapping CIs fails "
              "(default 5.0)",
@@ -450,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "covering instructions that mention it (e.g. R18)",
     )
     explain.add_argument(
-        "--pos", type=int, default=None,
+        "--pos", type=_int_in(0), default=None,
         help="only show decisions covering this instruction position",
     )
     _add_allocation_flags(explain)
@@ -483,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="evolutionary", help="search strategy (default evolutionary)",
     )
     tune.add_argument(
-        "--budget", type=int, default=64,
+        "--budget", type=_int_in(1), default=64,
         help="max distinct configs to evaluate (default 64)",
     )
     tune.add_argument(
@@ -497,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default energy)",
     )
     tune.add_argument(
-        "--time-budget-s", type=float, default=None,
+        "--time-budget-s", type=_positive_float, default=None,
         help="stop the search after this many seconds (a stop "
              "condition, never an objective)",
     )
@@ -525,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "when a pool cannot start (default process)",
     )
     serve.add_argument(
-        "--linger-ms", type=float, default=0.0,
+        "--linger-ms", type=_non_negative_float, default=0.0,
         help="micro-batch coalescing window in ms (default 0)",
     )
     _add_engine_flags(serve, jobs=2, profile=False)
@@ -564,17 +572,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_flags(cluster, max_bytes=False)
     cluster.add_argument(
-        "--replication", type=int, default=2,
+        "--replication", type=_int_in(1), default=2,
         help="ring successors eligible to serve a hot fingerprint "
              "(default 2)",
     )
     cluster.add_argument(
-        "--hot-threshold", type=int, default=8,
+        "--hot-threshold", type=_int_in(1), default=8,
         help="requests per window promoting a fingerprint to hot "
              "(default 8)",
     )
     cluster.add_argument(
-        "--wait-secs", type=float, default=60.0,
+        "--wait-secs", type=_positive_float, default=60.0,
         help="wait this long for spawned shards to become healthy",
     )
     _add_obs_flags(cluster, profile=False)
@@ -589,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     loadgen.add_argument("--concurrency", type=_int_in(1), default=8)
     loadgen.add_argument(
-        "--wait-secs", type=float, default=15.0,
+        "--wait-secs", type=_positive_float, default=15.0,
         help="wait this long for the server to become healthy",
     )
     loadgen.add_argument(
@@ -628,16 +636,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_engine(args):
-    """An ExperimentEngine when any engine flag was used, else None.
-
-    ``--profile-out`` forces an engine: the per-stage profiler hooks
-    into ``RunMetrics.stage``, which only runs under an engine.
-    """
-    flags = (args.cache_dir, args.metrics_out, args.profile_out)
-    if args.jobs <= 1 and all(flag is None for flag in flags):
-        return None
-    from .engine import ExperimentEngine
-
+    """The command's ExperimentEngine.  ``--cache-dir`` adds a disk
+    cache and ``--jobs`` a process pool; neither chooses the path."""
     try:
         return ExperimentEngine(
             jobs=args.jobs,
@@ -667,8 +667,6 @@ def _make_stopping_rule(args):
 def _finish_engine(engine, args) -> None:
     """Write the engine's metrics (with every live cache's gauges) to
     ``--metrics-out`` and print its summary."""
-    if engine is None:
-        return
     if args.metrics_out:
         publish_cache_metrics(engine.metrics)
         engine.metrics.write(args.metrics_out)
@@ -960,8 +958,6 @@ def _run_trace(args) -> int:
     """``repro trace``: one kernel through trace → allocate →
     account under a spread of schemes, spans on; the generic
     observability teardown writes the Chrome trace."""
-    from .engine import ExperimentEngine
-
     engine = ExperimentEngine()
     spec = _resolve_target(args.target, args.scale)
     traces = engine.build_traces(spec.kernel, spec.warp_inputs)
@@ -1009,11 +1005,10 @@ def _run_explain(args) -> int:
 def _run_tune(args) -> int:
     """``repro tune``: design-space search over AllocationConfig for
     one kernel; prints the report and writes the tuner JSON."""
-    from .engine import ExperimentEngine
     from .tuner import default_space, format_tune, run_tune, write_tune
 
     spec = _resolve_target(args.target, args.scale, args.warps)
-    engine = _make_engine(args) or ExperimentEngine()
+    engine = _make_engine(args)
     traces = engine.build_traces(spec.kernel, spec.warp_inputs)
     # The CLI always benches wall time (warm re-searches are cheap:
     # every candidate is a record-memo hit); the service endpoint

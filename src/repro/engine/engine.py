@@ -1,17 +1,23 @@
 """The experiment engine: memoized, optionally parallel evaluation.
 
-One :class:`ExperimentEngine` instance serves a whole CLI run.  It
-layers three content-addressed stores:
+Every suite evaluation goes through an :class:`ExperimentEngine`: each
+:class:`~repro.experiments.SuiteData` owns one, and one instance
+serves a whole CLI run.  It layers three content-addressed stores:
 
 * an in-memory *record* memo — (trace-set fingerprint, scheme) to
   evaluation record; deduplicates identical evaluations across figures
   within one run (the sensitivity sweep alone re-evaluates the same
   pair thirty times);
-* an in-memory *allocation* memo — (kernel fingerprint, allocation
-  config, energy model) to ``AllocationResult``; every software-scheme
-  evaluation allocates a clone, so this is what keeps cloning free;
+* an in-memory *study* memo — fingerprinted study inputs to the
+  study's JSON result, so a study two figures share runs once;
 * an optional on-disk :class:`DiskCache` holding evaluation records,
   study results (JSON) and trace sets (pickle) across runs.
+
+The engine keeps records, never allocations: an annotated kernel
+clone lives only as long as the evaluation that made it.  The record
+memo already deduplicates the work, so outside one batch (which hands
+its allocations on through a per-call dict) record misses do not
+repeat a (kernel, config, model) — a cold ``repro all`` repeats none.
 
 Parallelism is a *prefetch*: the parent computes the exact job list a
 figure run will need, fans cache misses across a
@@ -75,7 +81,6 @@ class ExperimentEngine:
             else None
         )
         self.metrics = metrics if metrics is not None else RunMetrics()
-        self.allocation_memo = BoundedCache("engine.allocations", _ENTRIES)
         self._records = BoundedCache("engine.records", _ENTRIES)
         self._studies = BoundedCache("engine.studies", _ENTRIES)
 
@@ -137,9 +142,7 @@ class ExperimentEngine:
                 kernel=traces.kernel.name,
                 scheme=scheme.name,
             ):
-                evaluation = evaluate_traces(
-                    traces, scheme, allocation_memo=self.allocation_memo
-                )
+                evaluation = evaluate_traces(traces, scheme)
         self._store_record(key, record_payload(evaluation))
         return evaluation
 
@@ -172,11 +175,7 @@ class ExperimentEngine:
                     kernel=traces.kernel.name,
                     schemes=len(missing),
                 ):
-                    evaluations = evaluate_traces_batch(
-                        traces,
-                        missing,
-                        allocation_memo=self.allocation_memo,
-                    )
+                    evaluations = evaluate_traces_batch(traces, missing)
             for scheme, evaluation in zip(missing, evaluations):
                 self._store_record(
                     record_key(traces, scheme), record_payload(evaluation)

@@ -9,9 +9,10 @@ would have computed itself.  That property is what lets the parent
 merge pool results in submission order and still produce byte-identical
 figure output.
 
-Workers keep per-process memos (traces per workload, allocations per
-config) so a worker that receives several schemes for one workload
-only traces and allocates it once.
+Workers keep a per-process trace memo so a worker that receives
+several schemes for one workload only traces it once.  They keep no
+allocation memo: jobs are distinct records, whose allocations do not
+repeat (a ``repro all --jobs 2`` run re-allocates nothing).
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ class EvaluationJob:
     scheme: Scheme
 
 
-#: Per-worker-process memos.
-_ENTRIES = 8192
-_WORKER_TRACES = BoundedCache("engine.worker_traces", _ENTRIES)
-_WORKER_ALLOCATIONS = BoundedCache("engine.worker_allocations", _ENTRIES)
+#: Per-worker-process trace memo.
+_WORKER_TRACES = BoundedCache("engine.worker_traces", 8192)
 
 
 def _worker_traces(workload: str, scale: float) -> TraceSet:
@@ -52,7 +51,4 @@ def _worker_traces(workload: str, scale: float) -> TraceSet:
 def run_evaluation_job(job: EvaluationJob) -> Dict[str, Any]:
     """Worker entry point: returns the JSON evaluation record."""
     traces = _worker_traces(job.workload, job.scale)
-    evaluation = evaluate_traces(
-        traces, job.scheme, allocation_memo=_WORKER_ALLOCATIONS
-    )
-    return record_payload(evaluation)
+    return record_payload(evaluate_traces(traces, job.scheme))

@@ -4,8 +4,8 @@ A *record* is the JSON image of one :class:`KernelEvaluation` — the
 part every figure driver consumes (scheme and baseline counters plus
 the dynamic instruction count).  The ``AllocationResult`` itself is
 deliberately not in the record: no driver reads it through the engine,
-and the in-memory allocation memo already deduplicates allocator runs
-within a process.
+so a record served from the memo or the disk carries none, and the
+engine keeps no annotated kernel alive.
 """
 
 from __future__ import annotations

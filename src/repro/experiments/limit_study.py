@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 from ..alloc.allocator import AllocationConfig
 from ..energy.accounting import compute_energy
 from ..energy.model import EnergyModel
+from ..engine.hashing import dataclass_fingerprint
 from ..hierarchy.counters import AccessCounters
 from ..levels import Level
 from ..sim.compiled import (
@@ -118,26 +119,20 @@ def _sw_energy(
     M-entry energy' idealisations.  Allocation happens on clones; the
     suite's kernels are never annotated.
     """
-    engine = data.engine
 
     def compute() -> float:
         total = AccessCounters()
         baseline = AccessCounters()
-        memo = engine.allocation_memo if engine is not None else None
         for spec, traces in data.items:
             allocation = allocate_for_traces(
-                spec.kernel, config, model=accounting_model, memo=memo
+                spec.kernel, config, model=accounting_model
             )
             compiled = compile_traces(traces)
             total.merge(software_counters(compiled, allocation.kernel))
             baseline.merge(baseline_counters(compiled))
         return _normalized(total, baseline, accounting_model)
 
-    if engine is None:
-        return compute()
-    from ..engine.hashing import dataclass_fingerprint
-
-    return engine.memo_study(
+    return data.engine.memo_study(
         (
             "limit-sw-energy",
             data.content_fingerprint(),

@@ -228,7 +228,8 @@ class Kernel:
         :class:`InstructionRef` valid for this kernel resolves to the
         corresponding instruction of the clone.  Allocating the clone
         leaves this kernel's annotations untouched — the foundation of
-        side-effect-free scheme evaluation.
+        side-effect-free scheme evaluation.  The clone inherits the
+        cached content fingerprint, which annotations do not affect.
         """
         blocks = [
             BasicBlock(
@@ -237,7 +238,11 @@ class Kernel:
             )
             for block in self.blocks
         ]
-        return Kernel(self.name, blocks, self.live_in)
+        clone = Kernel(self.name, blocks, self.live_in)
+        cached = self.__dict__.get("_content_fingerprint")
+        if cached is not None:
+            clone.__dict__["_content_fingerprint"] = cached
+        return clone
 
     def content_fingerprint(self) -> str:
         """SHA-256 over the kernel's architectural content.

@@ -275,8 +275,7 @@ def run_tune(
     """
     if space is None:
         space = default_space()
-    if engine is None:
-        engine = ExperimentEngine()
+    engine = engine or ExperimentEngine()
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     search = make_strategy(strategy, **(strategy_options or {}))

@@ -171,6 +171,23 @@ def test_engine_evaluate_memoizes(traces):
     assert first.baseline == plain.baseline
 
 
+def test_engine_keeps_no_annotated_clone(traces):
+    """The engine memoizes records, not allocations: the annotated
+    clone of a software evaluation dies with the evaluation."""
+    import gc
+    import weakref
+
+    engine = ExperimentEngine()
+    evaluation = engine.evaluate(traces, SW)
+    allocation = weakref.ref(evaluation.allocation)
+    clone = weakref.ref(evaluation.allocation.kernel)
+    del evaluation
+    gc.collect()
+    assert allocation() is None
+    assert clone() is None
+    assert engine.evaluate(traces, SW).allocation is None  # a memo hit
+
+
 def test_engine_evaluate_batch_matches_per_scheme(traces):
     schemes = [
         Scheme(SchemeKind.SW_TWO_LEVEL, 2),

@@ -270,12 +270,18 @@ def test_strand_execution_counters_match_scalar(data):
                 ), (fast.strand_key, size)
 
 
+def _fresh(data: SuiteData) -> SuiteData:
+    """The same traces under a fresh engine, so a study is computed
+    rather than served from another test's study memo."""
+    return SuiteData(data.items, scale=data.scale)
+
+
 def test_variable_orf_result_matches_scalar(data, monkeypatch):
-    result = run_variable_orf_study(data)
+    result = run_variable_orf_study(_fresh(data))
     monkeypatch.setattr(
         variable_orf, "collect_strand_executions", scalar_collect
     )
-    scalar = run_variable_orf_study(data)
+    scalar = run_variable_orf_study(_fresh(data))
     assert result.fixed == scalar.fixed
     assert result.realistic == scalar.realistic
     assert result.oracle == scalar.oracle
@@ -289,7 +295,7 @@ def test_variable_orf_result_matches_scalar(data, monkeypatch):
 )
 def test_limit_sw_energy_matches_scalar(data, config):
     assert limit_study._sw_energy(
-        data, config, LIMIT_MODEL
+        _fresh(data), config, LIMIT_MODEL
     ) == scalar_sw_energy(data, config, LIMIT_MODEL)
 
 

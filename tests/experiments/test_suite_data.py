@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import ExperimentEngine
 from repro.experiments import SuiteData
 from repro.sim import Scheme, SchemeKind
 from repro.workloads import get_workload
@@ -51,6 +52,28 @@ class TestSuiteData:
         from repro.workloads import BENCHMARK_NAMES, all_workloads
 
         assert len(all_workloads()) == len(BENCHMARK_NAMES)
+
+    def test_build_owns_an_engine(self):
+        data = SuiteData.build([get_workload("vectoradd", 0.1)], scale=0.1)
+        self._assert_second_aggregate_is_memo_hits(data)
+
+    def test_direct_construction_owns_an_engine(self, data):
+        fresh = SuiteData(data.items, scale=data.scale)
+        assert fresh.engine is not data.engine
+        self._assert_second_aggregate_is_memo_hits(fresh)
+
+    @staticmethod
+    def _assert_second_aggregate_is_memo_hits(data):
+        assert isinstance(data.engine, ExperimentEngine)
+        scheme = Scheme(SchemeKind.SW_TWO_LEVEL, 3)
+        counters = data.engine.metrics.counters
+        first = data.aggregate(scheme)
+        misses = counters.get("record_misses", 0)
+        hits = counters.get("record_memo_hits", 0)
+        assert misses == len(data.items)
+        assert data.aggregate(scheme) == first
+        assert counters.get("record_misses", 0) == misses
+        assert counters.get("record_memo_hits", 0) == hits + len(data.items)
 
     def test_baseline_model_independent(self, data):
         """The baseline only touches the MRF, so its energy is the same

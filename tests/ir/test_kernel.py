@@ -112,6 +112,34 @@ class TestKernelStructure:
         assert straight_kernel.num_architectural_registers == 8
 
 
+def _fresh_fingerprint(kernel: Kernel) -> str:
+    """The fingerprint recomputed from the kernel's current text."""
+    cached = kernel.__dict__.pop("_content_fingerprint", None)
+    try:
+        return kernel.content_fingerprint()
+    finally:
+        kernel.__dict__["_content_fingerprint"] = cached
+
+
+class TestClone:
+    def test_clone_inherits_cached_fingerprint(self, loop_kernel):
+        from repro.alloc import AllocationConfig, allocate_kernel
+
+        fingerprint = loop_kernel.content_fingerprint()
+        clone = loop_kernel.clone()
+        assert clone.__dict__.get("_content_fingerprint") == fingerprint
+        assert _fresh_fingerprint(clone) == fingerprint
+        allocate_kernel(clone, AllocationConfig(orf_entries=3))
+        assert clone.content_fingerprint() == fingerprint
+        assert _fresh_fingerprint(clone) == fingerprint
+
+    def test_clone_of_unhashed_kernel_hashes_lazily(self):
+        kernel = _branchy_kernel()
+        clone = kernel.clone()
+        assert "_content_fingerprint" not in clone.__dict__
+        assert clone.content_fingerprint() == kernel.content_fingerprint()
+
+
 class TestValidation:
     def test_unknown_branch_target(self):
         b = KernelBuilder("bad")

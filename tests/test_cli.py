@@ -145,3 +145,30 @@ class TestPrefetchPlan:
         run, _ = _FIGURES[name]
         run(data)
         assert counters.get("record_misses", 0) == before
+
+
+class TestOneEvaluationPath:
+    """Every suite run evaluates through the engine, so observability
+    flags measure the same program a plain run executes."""
+
+    def test_all_stdout_is_identical_under_observability_flags(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        metrics = tmp_path / "m.json"
+        outputs = []
+        for extra in (
+            [],
+            ["--metrics-out", str(metrics)],
+            ["--trace-out", str(tmp_path / "t.json")],
+        ):
+            assert main(["all", "--scale", "0.1", *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        payload = json.loads(metrics.read_text())
+        assert payload["counters"]["record_memo_hits"] > 0
+        assert not [
+            name for name in payload["gauges"]
+            if 'cache="engine.allocations"' in name
+        ]

@@ -52,6 +52,9 @@ STATIC_CORPUS: List[List[str]] = [
     ["show", "vectoradd", "--no-lrf", "--orf-entries", "2"],
     ["show", "hotspot"],
     ["fig2"],
+    ["all", "--scale", "0.1"],
+    ["all", "--scale", "0.1", "--metrics-out", "tmp/m.json"],
+    ["all", "--scale", "0.1", "--trace-out", "tmp/t.json"],
     ["list"],
     ["show", "vectoradd"],
     ["scheduler", "--benchmarks", "vectoradd", "--warps", "8"],
@@ -113,6 +116,20 @@ HOSTILE: List[List[str]] = [
     ["fig2", "--jobs", "-3"],
     ["tune", "vectoradd", "--warps", "0"],
     ["loadgen", "--port", "70000"],
+    ["cluster", "--replication", "0"],
+    ["cluster", "--hot-threshold", "0"],
+    ["cluster", "--wait-secs", "0"],
+    ["loadgen", "--wait-secs", "inf"],
+    ["serve", "--linger-ms", "-1"],
+    ["serve", "--linger-ms", "nan"],
+    ["bench", "diff", "old.json", "new.json", "--gate", "-5"],
+    ["bench", "diff", "old.json", "new.json", "--gate", "inf"],
+    ["explain", "vectoradd", "--pos", "-1"],
+    ["tune", "vectoradd", "--budget", "0"],
+    ["tune", "vectoradd", "--time-budget-s", "0"],
+    ["tune", "vectoradd", "--min-repeats", "0"],
+    ["tune", "vectoradd", "--max-repeats", "0"],
+    ["bench-accounting", "--min-repeats", "0"],
 ]
 
 
